@@ -34,8 +34,16 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes and fully validates an instance.
+// UnmarshalJSON decodes and fully validates an instance. The common
+// shape goes through a single-pass Scanner; anything it declines —
+// including every invalid instance — is decoded by encoding/json, which
+// owns the error texts.
 func (in *Instance) UnmarshalJSON(data []byte) error {
+	s := NewScanner(data)
+	if ni := s.Instance(); ni != nil && s.End() {
+		*in = *ni
+		return nil
+	}
 	var ji jsonInstance
 	if err := json.Unmarshal(data, &ji); err != nil {
 		return err

@@ -4,11 +4,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/tree"
 )
+
+// keyBufs recycles the byte buffers keys are encoded into. Buffers that
+// grew past maxPooledKeyBuf (the keys of ~30k-vertex instances and up)
+// are dropped after use rather than pinned in the pool.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledKeyBuf = 1 << 20
 
 // Key returns the canonical cache key of a request: a SHA-256 over a
 // deterministic binary encoding of the tree shape, every parameter
@@ -17,101 +26,131 @@ import (
 // with equal keys are guaranteed to describe the same computation, so
 // the cache may serve one's result for the other.
 //
-// The shape section (parents + client flags) is hashed by the same
-// encoding as ShapeKey, so the tree-interning cache of the batch path and
-// the solution cache agree on what "same topology" means.
+// The shape section (parents + client flags) is the same encoding as
+// ShapeKey, so the tree-interning cache of the batch path and the
+// solution cache agree on what "same topology" means. The whole stream
+// is appended to one pooled buffer and hashed with a single Sum256.
 func Key(in *core.Instance, solver string, opt Options) string {
-	h := sha256.New()
-	writeShape(h, in.Tree.Parents(), in.Tree.ClientFlags())
-	writeTag(h, "r")
-	writeInt64s(h, in.R)
-	writeTag(h, "w")
-	writeInt64s(h, in.W)
-	writeTag(h, "s")
-	writeInt64s(h, in.S)
-	writeTag(h, "q")
-	writeInts(h, in.Q)
-	writeTag(h, "comm")
-	writeInt64s(h, in.Comm)
-	writeTag(h, "bw")
-	writeInt64s(h, in.BW)
-	writeTag(h, "solver")
-	writeTag(h, strings.ToLower(strings.TrimSpace(solver)))
-	writeTag(h, "opts")
-	writeUint64(h, uint64(opt.BoundNodes))
+	n := in.Tree.Len()
+	bp := keyBufs.Get().(*[]byte)
+	// One growth at most: room for the parents, up to six parameter
+	// vectors and the object vectors at 8 bytes an element, the client
+	// flags, and the tags.
+	b := slices.Grow((*bp)[:0], 8*(7*n+2*n*len(opt.Objects)+32)+n+len(solver))
+	b = appendTreeShape(b, in.Tree)
+	b = appendTag(b, "r")
+	b = appendInt64s(b, in.R)
+	b = appendTag(b, "w")
+	b = appendInt64s(b, in.W)
+	b = appendTag(b, "s")
+	b = appendInt64s(b, in.S)
+	b = appendTag(b, "q")
+	b = appendInts(b, in.Q)
+	b = appendTag(b, "comm")
+	b = appendInt64s(b, in.Comm)
+	b = appendTag(b, "bw")
+	b = appendInt64s(b, in.BW)
+	b = appendTag(b, "solver")
+	b = appendTag(b, strings.ToLower(strings.TrimSpace(solver)))
+	b = appendTag(b, "opts")
+	b = binary.LittleEndian.AppendUint64(b, uint64(opt.BoundNodes))
 	if len(opt.Objects) > 0 {
 		// Multi-object requests key on the per-object vectors too: the
 		// same base instance under different object sets is a different
 		// computation. Single-object requests skip the section entirely,
 		// so their keys are unchanged by this extension.
-		writeTag(h, "objects")
-		writeUint64(h, uint64(len(opt.Objects)))
+		b = appendTag(b, "objects")
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(opt.Objects)))
 		for _, ov := range opt.Objects {
-			writeInt64s(h, ov.R)
-			writeInt64s(h, ov.S)
+			b = appendInt64s(b, ov.R)
+			b = appendInt64s(b, ov.S)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return sumKey(bp, b)
 }
 
 // ShapeKey returns the canonical key of a tree shape alone — the shape
 // section of Key. The batch path interns preprocessed trees under it, so
 // repeated batches over one topology skip the tree build entirely.
 func ShapeKey(parents []int, isClient []bool) string {
-	h := sha256.New()
-	writeShape(h, parents, isClient)
-	return hex.EncodeToString(h.Sum(nil))
+	bp := keyBufs.Get().(*[]byte)
+	b := slices.Grow((*bp)[:0], 8*len(parents)+len(isClient)+64)
+	b = appendTag(b, "tree")
+	b = appendInts(b, parents)
+	b = appendBools(b, isClient)
+	return sumKey(bp, b)
 }
 
-func writeShape(h hash.Hash, parents []int, isClient []bool) {
-	writeTag(h, "tree")
-	writeInts(h, parents)
-	writeBools(h, isClient)
+// sumKey hashes the encoded stream, hands the buffer back to the pool
+// (unless it outgrew the cap) and returns the hex digest.
+func sumKey(bp *[]byte, b []byte) string {
+	sum := sha256.Sum256(b)
+	if cap(b) <= maxPooledKeyBuf {
+		*bp = b
+		keyBufs.Put(bp)
+	}
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-func writeTag(h hash.Hash, tag string) {
-	writeUint64(h, uint64(len(tag)))
-	h.Write([]byte(tag))
+// appendTreeShape is ShapeKey's encoding of t's parents and client
+// flags, read in place rather than through the copying accessors.
+func appendTreeShape(b []byte, t *tree.Tree) []byte {
+	n := t.Len()
+	b = appendTag(b, "tree")
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for v := 0; v < n; v++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(t.Parent(v))))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for v := 0; v < n; v++ {
+		b = append(b, boolByte(t.IsClient(v)))
+	}
+	return b
 }
 
-func writeUint64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
+func appendTag(b []byte, tag string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(tag)))
+	return append(b, tag...)
 }
 
-// writeInt64s length-prefixes the vector; a nil slice encodes with
-// length 0 and an explicit absence marker so nil and empty differ from
-// any present vector.
-func writeInt64s(h hash.Hash, v []int64) {
+// appendInt64s length-prefixes the vector; a nil slice encodes as an
+// explicit absence marker so nil and empty differ from any present
+// vector.
+func appendInt64s(b []byte, v []int64) []byte {
 	if v == nil {
-		writeUint64(h, ^uint64(0))
-		return
+		return binary.LittleEndian.AppendUint64(b, ^uint64(0))
 	}
-	writeUint64(h, uint64(len(v)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
 	for _, x := range v {
-		writeUint64(h, uint64(x))
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
 	}
+	return b
 }
 
-func writeInts(h hash.Hash, v []int) {
+func appendInts(b []byte, v []int) []byte {
 	if v == nil {
-		writeUint64(h, ^uint64(0))
-		return
+		return binary.LittleEndian.AppendUint64(b, ^uint64(0))
 	}
-	writeUint64(h, uint64(len(v)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
 	for _, x := range v {
-		writeUint64(h, uint64(int64(x)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(x)))
 	}
+	return b
 }
 
-func writeBools(h hash.Hash, v []bool) {
-	writeUint64(h, uint64(len(v)))
+func appendBools(b []byte, v []bool) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
 	for _, x := range v {
-		if x {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
+		b = append(b, boolByte(x))
 	}
+	return b
+}
+
+func boolByte(x bool) byte {
+	if x {
+		return 1
+	}
+	return 0
 }

@@ -1,15 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -104,7 +108,15 @@ type api struct {
 	events      *obs.EventRing   // nil = no event journal
 	sessions    *session.Manager // nil = placement sessions disabled
 	red         *redMetrics      // per-route request counts and latency
+	// maxBody bounds JSON request bodies and maxStream the NDJSON
+	// session-create stream; larger bodies answer 413.
+	maxBody, maxStream int64
 }
+
+const (
+	maxBodyBytes   = 64 << 20
+	maxStreamBytes = 1 << 30
+)
 
 // NewHandler returns the HTTP API served by cmd/rpserve, with default
 // options (no async jobs):
@@ -163,7 +175,7 @@ func newAPI(e *Engine, opts HandlerOptions) *api {
 		log: opts.Logger, slowReq: opts.SlowRequest,
 		spans: opts.Spans, traceSample: opts.TraceSample,
 		slo: opts.SLO, events: opts.Events, sessions: opts.Sessions,
-		red: newRedMetrics()}
+		red: newRedMetrics(), maxBody: maxBodyBytes, maxStream: maxStreamBytes}
 	if a.log == nil {
 		a.log = obs.NopLogger()
 	}
@@ -221,13 +233,13 @@ func (a *api) routes() http.Handler {
 		writeJSON(w, http.StatusOK, solversPayload{Solvers: out})
 	})
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		handleSolve(e, w, r, "")
+		a.handleSolve(w, r, "")
 	})
 	mux.HandleFunc("POST /v1/bound", func(w http.ResponseWriter, r *http.Request) {
-		handleSolve(e, w, r, "lp-")
+		a.handleSolve(w, r, "lp-")
 	})
 	mux.HandleFunc("POST /v1/batch", a.handleBatch)
-	mux.HandleFunc("POST /v1/generate", handleGenerate)
+	mux.HandleFunc("POST /v1/generate", a.handleGenerate)
 	mux.HandleFunc("POST /v1/campaign", a.handleCampaign)
 	mux.HandleFunc("GET /v1/cluster/shards", a.handleClusterList)
 	mux.HandleFunc("POST /v1/cluster/shards", a.handleClusterJoin)
@@ -322,8 +334,8 @@ func (a *api) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req shardChangeWire
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := a.decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Addr == "" {
@@ -358,7 +370,7 @@ func (a *api) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 	addr := r.URL.Query().Get("addr")
 	if addr == "" {
 		var req shardChangeWire
-		if err := decodeJSON(r, &req); err == nil {
+		if err := a.decodeJSON(w, r, &req); err == nil {
 			addr = req.Addr
 		}
 	}
@@ -451,10 +463,71 @@ type solveRequest struct {
 	Options  RequestOptions `json:"options"`
 }
 
-func handleSolve(e *Engine, w http.ResponseWriter, r *http.Request, prefix string) {
+// scanSolveRequest decodes a /v1/solve body in one pass: instance,
+// solver and policy with the core.Scanner, and the small options object
+// with encoding/json on its own bytes. It reports false on anything
+// else (unknown, duplicate or case-variant keys, options encoding/json
+// rejects, trailing bytes, any instance the core.Scanner declines), and
+// the caller decodes the same bytes with encoding/json.
+func scanSolveRequest(body []byte, req *solveRequest) bool {
+	s := core.NewScanner(body)
+	var seen uint8
+	for more := s.Object(); more; more = s.More() {
+		var bit uint8
+		switch string(s.Key()) {
+		case "instance":
+			bit = 1 << 0
+			req.Instance = s.Instance()
+		case "solver":
+			bit = 1 << 1
+			req.Solver = s.Text()
+		case "policy":
+			bit = 1 << 2
+			req.Policy = s.Text()
+		case "options":
+			bit = 1 << 3
+			if !decodeOptions(s.Raw(), &req.Options) {
+				return false
+			}
+		default:
+			return false
+		}
+		if seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+	}
+	return s.End()
+}
+
+// decodeOptions decodes raw, exactly one JSON value, strictly into o.
+func decodeOptions(raw []byte, o *RequestOptions) bool {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(o) == nil && dec.InputOffset() == int64(len(raw))
+}
+
+// decodeSolveRequest decodes a /v1/solve or /v1/bound body: the
+// single-pass scan first, then decodeStrict on the same bytes when the
+// scan declines.
+func decodeSolveRequest(body []byte, req *solveRequest) error {
+	if scanSolveRequest(body, req) {
+		return nil
+	}
+	*req = solveRequest{}
+	return decodeStrict(bytes.NewReader(body), req)
+}
+
+func (a *api) handleSolve(w http.ResponseWriter, r *http.Request, prefix string) {
+	e := a.e
 	var req solveRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	body, err := a.readBody(w, r)
+	if err == nil {
+		err = decodeSolveRequest(*body, &req)
+		releaseBody(body)
+	}
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Instance == nil {
@@ -566,8 +639,8 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	e := a.e
 	start := time.Now()
 	var req BatchPayload
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := a.decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Solver == "" {
@@ -674,10 +747,10 @@ type generatePayload struct {
 	Vertices int            `json:"vertices"`
 }
 
-func handleGenerate(w http.ResponseWriter, r *http.Request) {
+func (a *api) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req generateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := a.decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Seed == 0 {
@@ -726,8 +799,8 @@ func (a *api) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req campaignRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := a.decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -769,10 +842,74 @@ func (a *api) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(campaignDone{Done: true, Rows: rows})
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
+func (a *api) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	return decodeStrict(http.MaxBytesReader(w, r.Body, a.maxBody), v)
+}
+
+// decodeStrict decodes the first JSON value of r into v, rejecting
+// unknown fields.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// bodyBufs recycles request-body buffers; buffers grown past
+// maxPooledBody are dropped after use instead of pinned in the pool.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const (
+	maxPooledBody = 1 << 20
+	// maxBodyPresize caps how much buffer a declared Content-Length
+	// buys before any body byte arrives; past it the buffer grows only
+	// as bytes are received.
+	maxBodyPresize = 64 << 10
+)
+
+// readBody reads the whole request body, bounded by maxBody, into a
+// pooled buffer pre-sized from Content-Length up to maxBodyPresize.
+// Return it with releaseBody.
+func (a *api) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, a.maxBody)
+	bp := bodyBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	if n := r.ContentLength; n > 0 {
+		b = slices.Grow(b, int(min(n, maxBodyPresize))+1) // +1: room to read the EOF
+	}
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 4096)
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*bp = b
+			releaseBody(bp)
+			return nil, err
+		}
+	}
+	*bp = b
+	return bp, nil
+}
+
+func releaseBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyBufs.Put(bp)
+	}
+}
+
+// writeDecodeError answers a request body that failed to decode: 413
+// when it outgrew its byte limit, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

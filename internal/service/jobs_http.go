@@ -131,8 +131,8 @@ func (a *api) registerJobRoutes(mux *http.ServeMux) {
 
 func (a *api) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobSubmitRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := a.decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	spec, err := req.spec()

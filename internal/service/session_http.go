@@ -160,15 +160,15 @@ func (a *api) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 		err    error
 	)
 	if strings.Contains(ct, "ndjson") {
-		in, solver, policy, err = decodeInstanceStream(r.Body)
+		in, solver, policy, err = decodeInstanceStream(http.MaxBytesReader(w, r.Body, a.maxStream))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeDecodeError(w, err)
 			return
 		}
 	} else {
 		var req instanceCreateRequest
-		if err := decodeJSON(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := a.decodeJSON(w, r, &req); err != nil {
+			writeDecodeError(w, err)
 			return
 		}
 		if req.Instance == nil {
@@ -199,8 +199,8 @@ func (a *api) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 // Vertices arrive parents-first (the root carries parent -1), so a
 // million-leaf tree streams through a few fixed slices without an
 // in-memory JSON document.
-func decodeInstanceStream(body io.ReadCloser) (*core.Instance, string, core.Policy, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, body, 1<<30))
+func decodeInstanceStream(body io.Reader) (*core.Instance, string, core.Policy, error) {
+	dec := json.NewDecoder(body)
 	var hdr ndjsonHeader
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, "", 0, fmt.Errorf("stream header: %w", err)
@@ -333,8 +333,8 @@ func (a *api) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req patchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := a.decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	res, err := s.Apply(r.Context(), req.Ops)

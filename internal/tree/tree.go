@@ -29,10 +29,14 @@ const None = -1
 // (candidate servers, the paper's set N) and clients (leaves, the set C).
 type Tree struct {
 	parent   []int
-	children [][]int
 	isClient []bool
 	root     int
 	depth    []int
+
+	// The children of v are childList[childStart[v]:childStart[v+1]],
+	// in declared (id) order: one slab for the whole tree.
+	childStart []int
+	childList  []int
 
 	internal []int // internal vertex ids, in id order
 	clients  []int // client vertex ids, in id order
@@ -67,9 +71,15 @@ func (t *Tree) Root() int { return t.root }
 // Parent returns the parent of v, or None for the root.
 func (t *Tree) Parent(v int) int { return t.parent[v] }
 
-// Children returns the children of v. The returned slice must not be
-// modified.
-func (t *Tree) Children(v int) []int { return t.children[v] }
+// Children returns the children of v in declared order, nil for a
+// leaf. The returned slice must not be modified.
+func (t *Tree) Children(v int) []int {
+	lo, hi := t.childStart[v], t.childStart[v+1]
+	if lo == hi {
+		return nil
+	}
+	return t.childList[lo:hi:hi]
+}
 
 // IsClient reports whether v is a client (leaf).
 func (t *Tree) IsClient(v int) bool { return t.isClient[v] }
@@ -287,7 +297,9 @@ func FromParents(parent []int, isClient []bool) (*Tree, error) {
 		isClient: append([]bool(nil), isClient...),
 		root:     None,
 	}
-	t.children = make([][]int, n)
+	// Children lists: count per parent, prefix-sum the counts into
+	// childStart, then fill one slab in id order.
+	t.childStart = make([]int, n+1)
 	for v, p := range t.parent {
 		switch {
 		case p == None:
@@ -300,7 +312,7 @@ func FromParents(parent []int, isClient []bool) (*Tree, error) {
 		case t.isClient[p]:
 			return nil, fmt.Errorf("tree: client %d has a child %d", p, v)
 		default:
-			t.children[p] = append(t.children[p], v)
+			t.childStart[p+1]++
 		}
 	}
 	if t.root == None {
@@ -309,24 +321,33 @@ func FromParents(parent []int, isClient []bool) (*Tree, error) {
 	if t.isClient[t.root] {
 		return nil, errors.New("tree: root is a client")
 	}
+	for v := 0; v < n; v++ {
+		t.childStart[v+1] += t.childStart[v]
+	}
+	t.childList = make([]int, n-1)
+	fill := make([]int, n)
+	copy(fill, t.childStart[:n])
+	for v, p := range t.parent {
+		if p != None {
+			t.childList[fill[p]] = v
+			fill[p]++
+		}
+	}
 	// Depth + reachability + traversal orders via an explicit stack.
+	// Every vertex but the root sits in exactly one children list, so
+	// no vertex is pushed twice; a cycle shows up as unreachable
+	// vertices instead.
 	t.depth = make([]int, n)
-	seen := make([]bool, n)
 	t.preOrder = make([]int, 0, n)
-	stack := []int{t.root}
-	seen[t.root] = true
+	stack := append(fill[:0], t.root)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		t.preOrder = append(t.preOrder, v)
 		// Push children in reverse so they are visited in declared order.
-		ch := t.children[v]
+		ch := t.Children(v)
 		for i := len(ch) - 1; i >= 0; i-- {
 			c := ch[i]
-			if seen[c] {
-				return nil, fmt.Errorf("tree: vertex %d visited twice (cycle)", c)
-			}
-			seen[c] = true
 			t.depth[c] = t.depth[v] + 1
 			stack = append(stack, c)
 		}
@@ -343,14 +364,20 @@ func FromParents(parent []int, isClient []bool) (*Tree, error) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		t.postOrder = append(t.postOrder, v)
-		stack = append(stack, t.children[v]...)
+		stack = append(stack, t.Children(v)...)
 	}
 	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
 		t.postOrder[i], t.postOrder[j] = t.postOrder[j], t.postOrder[i]
 	}
 
-	t.internal = make([]int, 0, n)
-	t.clients = make([]int, 0, n)
+	nc := 0
+	for _, c := range t.isClient {
+		if c {
+			nc++
+		}
+	}
+	t.internal = make([]int, 0, n-nc)
+	t.clients = make([]int, 0, nc)
 	for v := 0; v < n; v++ {
 		if t.isClient[v] {
 			t.clients = append(t.clients, v)
@@ -367,7 +394,7 @@ func FromParents(parent []int, isClient []bool) (*Tree, error) {
 			t.clientCount[v] = 1
 			continue
 		}
-		for _, c := range t.children[v] {
+		for _, c := range t.Children(v) {
 			t.subtreeSize[v] += t.subtreeSize[c]
 			t.clientCount[v] += t.clientCount[c]
 		}
