@@ -13,7 +13,8 @@
 //
 // Only benchmarks matching -match (default: the RouteBatchInline and
 // PoolSolveBatch families plus the 1e3–1e5-leaf SessionApplyDelta
-// sizes) are gated; everything else is informational.
+// sizes and its topology case) are gated; everything else is
+// informational.
 // A gated benchmark present in the baseline but missing from the
 // current run is an error — a silently deleted benchmark must not
 // disable its own gate.
@@ -108,7 +109,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline results (JSON or go test -bench text)")
 	currentPath := flag.String("current", "", "current results to gate (JSON or go test -bench text)")
 	maxRegress := flag.Float64("max-regress", 20, "maximum allowed ns/op regression, percent")
-	match := flag.String("match", `^Benchmark(RouteBatchInline|PoolSolveBatch)($|/)|^BenchmarkSessionApplyDelta/leaves=(1000|10000|100000)$`, "regexp selecting the gated benchmarks")
+	match := flag.String("match", `^Benchmark(RouteBatchInline|PoolSolveBatch)($|/)|^BenchmarkSessionApplyDelta/(topology/)?leaves=(1000|10000|100000)$`, "regexp selecting the gated benchmarks")
 	flag.Parse()
 	if *currentPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")

@@ -7,7 +7,9 @@ package gen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/tree"
@@ -99,24 +101,17 @@ func Instance(cfg Config, seed int64) *core.Instance {
 	depth := make([]int, 0, cfg.Internal)
 	internal = append(internal, b.AddRoot())
 	depth = append(depth, 0)
-	pickWeighted := func(weight func(i int) int) int {
-		total := 0
-		for i := range internal {
-			total += weight(i)
-		}
-		x := rng.Intn(total)
-		for i := range internal {
-			x -= weight(i)
-			if x < 0 {
-				return i
-			}
-		}
-		return len(internal) - 1
-	}
+	// The depth-weighted pick draws x in [0, Σw) and takes the first
+	// vertex whose running weight sum exceeds x; a Fenwick tree finds it
+	// in O(log n) per insert with the same draw, so instances match the
+	// plain linear scan byte for byte.
+	weights := newFenwick(cfg.Internal)
+	weights.add(0, 1)
 	for k := 1; k < cfg.Internal; k++ {
-		p := pickWeighted(func(i int) int { return depth[i] + 1 })
+		p := weights.search(rng.Intn(weights.total))
 		internal = append(internal, b.AddNode(internal[p]))
 		depth = append(depth, depth[p]+1)
+		weights.add(k, depth[k]+1)
 	}
 	clients := make([]int, 0, cfg.Clients)
 	switch cfg.Attach {
@@ -143,8 +138,16 @@ func Instance(cfg Config, seed int64) *core.Instance {
 			clients = append(clients, b.AddClient(deal[(k*stride)%len(deal)]))
 		}
 	case AttachDeep:
+		// Fixed weights (depth+1)²: binary search over their running sums.
+		cum := make([]int, len(internal))
+		total := 0
+		for i, d := range depth {
+			total += (d + 1) * (d + 1)
+			cum[i] = total
+		}
 		for k := 0; k < cfg.Clients; k++ {
-			p := pickWeighted(func(i int) int { return (depth[i] + 1) * (depth[i] + 1) })
+			x := rng.Intn(total)
+			p := sort.Search(len(cum), func(i int) bool { return cum[i] > x })
 			clients = append(clients, b.AddClient(internal[p]))
 		}
 	case AttachUniform:
@@ -254,4 +257,34 @@ func SizeSweep(cfg Config, seed int64, n, minSize, maxSize int) []*core.Instance
 		out[i] = Instance(c, seed+int64(i)*104729)
 	}
 	return out
+}
+
+// fenwick is a binary indexed tree over non-negative integer weights:
+// point updates and "first index whose prefix sum exceeds x" in O(log n).
+type fenwick struct {
+	tree  []int // 1-based partial sums
+	total int
+}
+
+func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
+
+// add increases the weight of element i (0-based) by w.
+func (f *fenwick) add(i, w int) {
+	f.total += w
+	for j := i + 1; j < len(f.tree); j += j & -j {
+		f.tree[j] += w
+	}
+}
+
+// search returns the smallest 0-based i with w[0]+…+w[i] > x, for
+// 0 <= x < total.
+func (f *fenwick) search(x int) int {
+	pos := 0
+	for step := 1 << (bits.Len(uint(len(f.tree)-1)) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next < len(f.tree) && f.tree[next] <= x {
+			pos = next
+			x -= f.tree[next]
+		}
+	}
+	return pos
 }

@@ -1,9 +1,11 @@
 package session
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -239,22 +241,13 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 		return nil, err
 	}
 
-	prevIn, prevRemoved, prevNRemoved := s.in, s.removed, s.nRemoved
-	prevDirty := s.dirty
-	var undo []scalarUndo
-	var addedClients []int
-	topo := adds > 0
-	if topo {
-		addedClients = s.applyTopo(ops, adds)
-	} else {
-		undo = s.applyScalars(ops)
-	}
+	undo, addedClients := s.applyOps(ops, adds)
 
 	mode := "full"
 	var out outcome
 	var flips []int
 	switch {
-	case s.inc != nil && !topo && s.dirty.InternalFraction() <= s.m.opts.DirtyThreshold:
+	case s.inc != nil && s.dirty.InternalFraction() <= s.m.opts.DirtyThreshold:
 		mode = "incremental"
 		s.inc.update(s.dirtyInternalDeepFirst())
 		flips = s.inc.flips
@@ -263,8 +256,8 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 			out.cost = 0
 		}
 	case s.inc != nil:
-		// Too much of the tree is dirty (or it changed shape): one cold
-		// sweep rebuilds every memo cheaper than chasing root paths.
+		// Too much of the tree is dirty: one cold sweep rebuilds every
+		// memo cheaper than chasing root paths.
 		s.inc.full(s.in)
 		out = outcome{noSolution: s.inc.noSolution()}
 		if !out.noSolution {
@@ -274,14 +267,8 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 	default:
 		out, err = s.solveFull(ctx)
 		if err != nil {
-			// Roll back: scalar ops are undone in place, topology ops
-			// worked on copies the old instance never saw.
-			if topo {
-				s.in, s.removed, s.nRemoved, s.dirty = prevIn, prevRemoved, prevNRemoved, prevDirty
-			} else {
-				s.undoScalars(undo)
-			}
 			s.dirty.Reset()
+			s.rollback(undo)
 			return nil, err
 		}
 	}
@@ -343,11 +330,22 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 	return res, nil
 }
 
+// scalarUndo is one overwritten value of a batch.
 type scalarUndo struct {
 	rate   bool // else capacity / removal
 	remove bool
 	v      int
 	old    int64
+}
+
+// batchUndo is what rollback needs to restore the instance a batch
+// mutated in place: the overwritten values, and the instance's tree and
+// slice headers from before the batch. Joining clients only append, so
+// the old headers still see exactly the old contents.
+type batchUndo struct {
+	scalars []scalarUndo
+	prev    core.Instance
+	removed []bool
 }
 
 // validateOps checks the whole batch against the current state (tracking
@@ -436,168 +434,137 @@ func (s *Session) validateOps(ops []Op) (adds int, err error) {
 	return adds, nil
 }
 
-// applyScalars mutates the instance in place for a topology-preserving
-// batch, marking dirty root paths and recording an undo log.
-func (s *Session) applyScalars(ops []Op) []scalarUndo {
-	undo := make([]scalarUndo, 0, len(ops))
+// applyOps mutates the instance in place, marking the root path of every
+// vertex the batch touches, and returns the undo log. The add_client ops
+// of the batch are spliced into the tree in one pass (existing ids are
+// stable: newcomers append) and their parameters appended to the vectors
+// first, so later ops in the batch can target the new ids.
+func (s *Session) applyOps(ops []Op, adds int) (undo batchUndo, addedClients []int) {
+	in := s.in
+	undo.prev, undo.removed = *in, s.removed
+	if adds > 0 {
+		addedClients = s.addClients(ops, adds)
+	}
+	undo.scalars = make([]scalarUndo, 0, len(ops))
+	added := 0
 	for _, op := range ops {
 		switch op.Op {
 		case OpSetRate:
-			undo = append(undo, scalarUndo{rate: true, v: op.Vertex, old: s.in.R[op.Vertex]})
-			s.in.R[op.Vertex] = op.Value
+			undo.scalars = append(undo.scalars, scalarUndo{rate: true, v: op.Vertex, old: in.R[op.Vertex]})
+			in.R[op.Vertex] = op.Value
 			s.dirty.MarkPath(op.Vertex)
 		case OpSetCapacity:
-			undo = append(undo, scalarUndo{v: op.Vertex, old: s.in.W[op.Vertex]})
-			s.in.W[op.Vertex] = op.Value
+			undo.scalars = append(undo.scalars, scalarUndo{v: op.Vertex, old: in.W[op.Vertex]})
+			in.W[op.Vertex] = op.Value
 			s.dirty.MarkPath(op.Vertex)
 		case OpRemoveClient:
-			undo = append(undo, scalarUndo{remove: true, v: op.Vertex, old: s.in.R[op.Vertex]})
-			s.in.R[op.Vertex] = 0
+			undo.scalars = append(undo.scalars, scalarUndo{remove: true, v: op.Vertex, old: in.R[op.Vertex]})
+			in.R[op.Vertex] = 0
 			s.removed[op.Vertex] = true
 			s.nRemoved++
 			s.dirty.MarkPath(op.Vertex)
+		case OpAddClient:
+			s.dirty.MarkPath(addedClients[added])
+			added++
 		}
 	}
-	return undo
+	return undo, addedClients
 }
 
-func (s *Session) undoScalars(undo []scalarUndo) {
-	for i := len(undo) - 1; i >= 0; i-- {
-		u := undo[i]
-		switch {
-		case u.rate:
-			s.in.R[u.v] = u.old
-		case u.remove:
-			s.in.R[u.v] = u.old
-			s.removed[u.v] = false
-			s.nRemoved--
-		default:
-			s.in.W[u.v] = u.old
-		}
-	}
-}
-
-// applyTopo applies a batch containing add_client ops: the parameter
-// vectors are copied once with room for every newcomer, ops run in order
-// against the copies, and the tree is rebuilt once at the end. Existing
-// vertex ids are stable (newcomers append).
-func (s *Session) applyTopo(ops []Op, adds int) (addedClients []int) {
-	old := s.in
-	n := old.Tree.Len()
-	grow := func(v []int64) []int64 {
-		out := make([]int64, n, n+adds)
-		copy(out, v)
-		return out
-	}
-	in := &core.Instance{R: grow(old.R), W: grow(old.W), S: grow(old.S)}
-	anyQoS := old.Q != nil
-	anyComm := old.Comm != nil
-	anyBW := old.BW != nil
+// addClients grows the session by the batch's add_client ops: one tree
+// splice, then every per-vertex array appended in place (amortized). The
+// optional QoS/comm/bandwidth vectors are materialized with their
+// unconstrained defaults the first time a newcomer sets one.
+func (s *Session) addClients(ops []Op, adds int) []int {
+	in := s.in
+	n := in.Tree.Len()
+	parents := make([]int, 0, adds)
 	for _, op := range ops {
 		if op.Op != OpAddClient {
 			continue
 		}
-		anyQoS = anyQoS || op.QoS != nil
-		anyComm = anyComm || op.Comm != nil
-		anyBW = anyBW || op.Bandwidth != nil
-	}
-	if anyQoS {
-		in.Q = make([]int, n, n+adds)
-		if old.Q != nil {
-			copy(in.Q, old.Q)
-		} else {
-			for v := range in.Q {
-				in.Q[v] = core.NoQoS
-			}
+		parents = append(parents, op.Parent)
+		if op.QoS != nil && in.Q == nil {
+			in.Q = filled(n, core.NoQoS)
+		}
+		if op.Comm != nil && in.Comm == nil {
+			in.Comm = filled(n, int64(1)) // nil Comm counts every link as one hop
+		}
+		if op.Bandwidth != nil && in.BW == nil {
+			in.BW = filled(n, core.NoBandwidth)
 		}
 	}
-	if anyComm {
-		in.Comm = make([]int64, n, n+adds)
-		if old.Comm != nil {
-			copy(in.Comm, old.Comm)
-		} else {
-			for v := range in.Comm {
-				in.Comm[v] = 1 // nil Comm counts every link as one hop
-			}
-		}
-	}
-	if anyBW {
-		in.BW = make([]int64, n, n+adds)
-		if old.BW != nil {
-			copy(in.BW, old.BW)
-		} else {
-			for v := range in.BW {
-				in.BW[v] = core.NoBandwidth
-			}
-		}
-	}
-	parents := make([]int, n, n+adds)
-	copy(parents, old.Tree.Parents())
-	isClient := make([]bool, n, n+adds)
-	copy(isClient, old.Tree.ClientFlags())
-	removed := make([]bool, n, n+adds)
-	copy(removed, s.removed)
-	nRemoved := s.nRemoved
-
-	for _, op := range ops {
-		switch op.Op {
-		case OpSetRate:
-			in.R[op.Vertex] = op.Value
-		case OpSetCapacity:
-			in.W[op.Vertex] = op.Value
-		case OpRemoveClient:
-			in.R[op.Vertex] = 0
-			removed[op.Vertex] = true
-			nRemoved++
-		case OpAddClient:
-			id := len(parents)
-			parents = append(parents, op.Parent)
-			isClient = append(isClient, true)
-			removed = append(removed, false)
-			in.R = append(in.R, op.Rate)
-			in.W = append(in.W, 0)
-			in.S = append(in.S, 0)
-			if in.Q != nil {
-				q := core.NoQoS
-				if op.QoS != nil {
-					q = *op.QoS
-				}
-				in.Q = append(in.Q, q)
-			}
-			if in.Comm != nil {
-				c := int64(1)
-				if op.Comm != nil {
-					c = *op.Comm
-				}
-				in.Comm = append(in.Comm, c)
-			}
-			if in.BW != nil {
-				bw := core.NoBandwidth
-				if op.Bandwidth != nil {
-					bw = *op.Bandwidth
-				}
-				in.BW = append(in.BW, bw)
-			}
-			addedClients = append(addedClients, id)
-		}
-	}
-	t, err := tree.FromParents(parents, isClient)
+	t, err := in.Tree.WithClients(parents)
 	if err != nil {
 		// validateOps admits only existing internal parents, so the
-		// rebuilt tree cannot be malformed.
-		panic(fmt.Sprintf("session: rebuilt tree invalid: %v", err))
+		// splice cannot fail.
+		panic(fmt.Sprintf("session: client splice invalid: %v", err))
+	}
+	added := make([]int, 0, adds)
+	for _, op := range ops {
+		if op.Op != OpAddClient {
+			continue
+		}
+		added = append(added, n+len(added))
+		in.R = append(in.R, op.Rate)
+		in.W = append(in.W, 0)
+		in.S = append(in.S, 0)
+		if in.Q != nil {
+			in.Q = append(in.Q, deref(op.QoS, core.NoQoS))
+		}
+		if in.Comm != nil {
+			in.Comm = append(in.Comm, deref(op.Comm, 1))
+		}
+		if in.BW != nil {
+			in.BW = append(in.BW, deref(op.Bandwidth, core.NoBandwidth))
+		}
 	}
 	in.Tree = t
-	s.in = in
-	s.removed = removed
-	s.nRemoved = nRemoved
-	s.dirty = tree.NewDirtySet(t)
-	if len(s.reported) < t.Len() {
-		grown := make([]bool, t.Len())
-		copy(grown, s.reported)
-		s.reported = grown
+	s.removed = resized(s.removed, t.Len())
+	s.reported = resized(s.reported, t.Len())
+	s.dirty.Rebind(t)
+	if s.inc != nil {
+		s.inc.grow(t.Len())
 	}
-	return addedClients
+	return added
+}
+
+func filled[T any](n int, v T) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+func deref[T any](p *T, def T) T {
+	if p == nil {
+		return def
+	}
+	return *p
+}
+
+// rollback restores the instance a failed batch mutated: overwritten
+// values in reverse order, then the tree and the slice headers from
+// before the batch. The caller has reset the dirty set.
+func (s *Session) rollback(undo batchUndo) {
+	in := s.in
+	for i := len(undo.scalars) - 1; i >= 0; i-- {
+		u := undo.scalars[i]
+		switch {
+		case u.rate:
+			in.R[u.v] = u.old
+		case u.remove:
+			in.R[u.v] = u.old
+			s.removed[u.v] = false
+			s.nRemoved--
+		default:
+			in.W[u.v] = u.old
+		}
+	}
+	*in = undo.prev
+	s.removed = undo.removed
+	s.dirty.Rebind(in.Tree)
 }
 
 // dirtyInternalDeepFirst returns the dirty internal vertices ordered
@@ -613,7 +580,7 @@ func (s *Session) dirtyInternalDeepFirst() []int {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return t.Depth(out[i]) > t.Depth(out[j]) })
+	slices.SortFunc(out, func(a, b int) int { return cmp.Compare(t.Depth(b), t.Depth(a)) })
 	return out
 }
 

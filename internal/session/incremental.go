@@ -1,7 +1,8 @@
 package session
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -64,21 +65,12 @@ func newBottomUp(kind IncrementalKind) *bottomUp {
 }
 
 // full (re)computes the whole memo state for in: a plain bottom-up sweep,
-// identical in outcome to the cold heuristic. It must be called after any
-// topology change (the memo arrays are resized here).
+// identical in outcome to the cold heuristic. Every memo list is reused
+// in place.
 func (b *bottomUp) full(in *core.Instance) {
 	b.in = in
 	n := in.Tree.Len()
-	if cap(b.esc) < n {
-		b.esc = make([][]pend, n)
-		b.taken = make([][]pend, n)
-		b.isRepl = make([]bool, n)
-		b.served = make([]int64, n)
-	}
-	b.esc = b.esc[:n]
-	b.taken = b.taken[:n]
-	b.isRepl = b.isRepl[:n]
-	b.served = b.served[:n]
+	b.grow(n)
 	for v := 0; v < n; v++ {
 		b.esc[v] = b.esc[v][:0]
 		b.taken[v] = b.taken[v][:0]
@@ -93,6 +85,28 @@ func (b *bottomUp) full(in *core.Instance) {
 			b.recompute(v)
 		}
 	}
+}
+
+// grow extends the per-vertex state to a tree of n vertices that extends
+// the current one (clients joined: ids are stable and the newcomers are
+// leaves), keeping every memo — a vertex's summary depends only on its
+// subtree, so the newcomers' root paths are all that goes stale, and the
+// caller marks them dirty. The arrays grow in place, amortized.
+func (b *bottomUp) grow(n int) {
+	b.esc = resized(b.esc, n)
+	b.taken = resized(b.taken, n)
+	b.isRepl = resized(b.isRepl, n)
+	b.served = resized(b.served, n)
+}
+
+// resized returns s with length n, reusing its backing array when it
+// fits and growing it amortized otherwise; elements past the old length
+// are zero.
+func resized[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // update recomputes the dirty internal vertices, which the caller passes
@@ -150,7 +164,7 @@ func (b *bottomUp) recompute(v int) {
 				budget = w
 			}
 			srt := append(b.sorted[:0], pending...)
-			sort.SliceStable(srt, func(i, j int) bool { return srt[i].rem < srt[j].rem })
+			slices.SortStableFunc(srt, func(a, b pend) int { return cmp.Compare(a.rem, b.rem) })
 			b.sorted = srt
 			for _, p := range srt {
 				if p.rem <= budget {

@@ -5,9 +5,13 @@
 // root path (see tree.DirtySet); the subtree-local heuristics (MG, CBU)
 // then recompute just the dirty vertices over memoized clean-subtree
 // summaries, warm-starting from the previous placement, and fall back to a
-// cold full solve when the dirty fraction crosses a threshold or the
-// topology changes. Every applied delta yields a placement byte-equivalent
-// to a cold re-solve of the mutated instance.
+// full sweep only when the dirty fraction crosses a threshold. A joining
+// client is no exception: it is spliced into the tree as its parent's
+// last child (tree.Tree.WithClients), every memo stays valid because
+// vertex ids are stable, and only the newcomer's root path is dirty.
+// Solvers without a memoized engine re-solve cold on every delta. Every
+// applied delta yields a placement byte-equivalent to a cold re-solve of
+// the mutated instance.
 //
 // Watchers stream placement diffs ({rev, add, drop, cost}) from a bounded
 // per-session history ring, resumable from any revision still retained.

@@ -184,7 +184,8 @@ func TestSessionEquivalence(t *testing.T) {
 
 // TestSessionIncrementalModeUsed pins that small deltas on an mg session
 // actually take the incremental path (the whole point of the subsystem),
-// and that a topology change falls back to a full solve.
+// a small add_client batch included, and that only a batch past
+// DirtyThreshold falls back to a full sweep.
 func TestSessionIncrementalModeUsed(t *testing.T) {
 	m := newTestManager(t, Options{})
 	in := gen.Instance(gen.Config{Internal: 60, Clients: 200, Lambda: 0.4}, 3)
@@ -207,12 +208,25 @@ func TestSessionIncrementalModeUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != "full" {
-		t.Fatalf("topology delta took mode %q, want full", res.Mode)
+	if res.Mode != "incremental" {
+		t.Fatalf("topology delta took mode %q, want incremental", res.Mode)
 	}
 	if len(res.AddedClients) != 1 || res.AddedClients[0] != in.Tree.Len() {
 		t.Fatalf("added clients %v, want [%d]", res.AddedClients, in.Tree.Len())
 	}
+	checkEquivalence(t, s, "mg", 2)
+	var wide []Op
+	for _, v := range in.Tree.Internal() {
+		wide = append(wide, Op{Op: OpAddClient, Parent: v, Rate: 1})
+	}
+	res, err = s.Apply(context.Background(), wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != "full" {
+		t.Fatalf("topology delta dirtying every vertex took mode %q, want full", res.Mode)
+	}
+	checkEquivalence(t, s, "mg", 3)
 	st := m.Stats()
 	if st.IncrementalSolves == 0 || st.FullSolves == 0 {
 		t.Fatalf("stats did not count both modes: %+v", st)

@@ -25,6 +25,17 @@ func NewDirtySet(t *Tree) *DirtySet {
 	return &DirtySet{t: t, mark: make([]uint32, t.Len()), gen: 1}
 }
 
+// Rebind points the set at t, a tree that extends its current one with
+// new vertex ids (see Tree.WithClients), keeping every mark; the stamp
+// array grows in place, amortized. After Reset the set may also be bound
+// back to the tree it extended.
+func (d *DirtySet) Rebind(t *Tree) {
+	d.t = t
+	if n := t.Len(); n > len(d.mark) {
+		d.mark = append(d.mark, make([]uint32, n-len(d.mark))...)
+	}
+}
+
 // MarkPath marks v and every ancestor of v as dirty. It stops at the first
 // already-dirty vertex: by the path invariant everything above is dirty too.
 func (d *DirtySet) MarkPath(v int) {

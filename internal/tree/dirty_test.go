@@ -106,3 +106,37 @@ func TestDirtySetGenerationWrap(t *testing.T) {
 		}
 	}
 }
+
+// TestDirtySetRebind: rebinding to a spliced tree keeps the marks, covers
+// the new ids, and the path invariant holds across both trees' vertices.
+func TestDirtySetRebind(t *testing.T) {
+	tr := buildDirtyFixture(t)
+	d := NewDirtySet(tr)
+	d.MarkPath(3) // 3 -> 1 -> 0
+	grown, err := tr.WithClients([]int{5, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Rebind(grown)
+	if !d.IsDirty(3) || !d.IsDirty(1) || !d.IsDirty(0) || d.IsDirty(7) || d.IsDirty(8) {
+		t.Fatal("rebind lost or invented marks")
+	}
+	d.MarkPath(7) // the newcomer under 5: 7 -> 5 -> 2, stops at dirty 0
+	for _, v := range []int{7, 5, 2} {
+		if !d.IsDirty(v) {
+			t.Errorf("vertex %d should be dirty", v)
+		}
+	}
+	if d.Len() != 6 {
+		t.Fatalf("Len = %d, want 6", d.Len())
+	}
+	if got, want := d.InternalFraction(), 4.0/4.0; got != want {
+		t.Fatalf("InternalFraction = %v, want %v", got, want)
+	}
+	d.Reset()
+	d.Rebind(tr)
+	d.MarkPath(4)
+	if !d.IsDirty(4) || !d.IsDirty(1) || d.IsDirty(2) {
+		t.Fatal("rebinding back to the original tree broken")
+	}
+}
